@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
-#include <numeric>
 
 namespace steghide::oblivious {
 
@@ -33,20 +32,19 @@ ExternalMergeSorter::ExternalMergeSorter(storage::BlockDevice* device,
 
 void ExternalMergeSorter::Reset() {
   pending_.clear();
+  resident_.clear();
   runs_.clear();
-  scratch_used_ = 0;
-  item_count_ = 0;
+  spilled_ = 0;
   cells_.reads.Reset();
   cells_.writes.Reset();
   merging_ = false;
   merge_done_ = false;
-  mem_merge_ = false;
   dst_base_ = 0;
   out_pos_ = 0;
   chunk_ = 0;
-  mem_next_ = 0;
+  resident_next_ = 0;
   cursors_.clear();
-  out_chunk_.clear();
+  out_count_ = 0;
   order_.clear();
 }
 
@@ -57,7 +55,7 @@ Status ExternalMergeSorter::Add(uint64_t src_block, uint64_t tag,
   cells_.reads.Increment();
   Bytes payload(codec_->payload_size());
   STEGHIDE_RETURN_IF_ERROR(codec_->Open(*cipher_, block.data(), payload.data()));
-  return AddInMemory(payload, tag, label);
+  return AddInMemory(payload.data(), tag, label);
 }
 
 Status ExternalMergeSorter::AddInMemory(const uint8_t* payload, uint64_t tag,
@@ -65,24 +63,31 @@ Status ExternalMergeSorter::AddInMemory(const uint8_t* payload, uint64_t tag,
   if (merging_) {
     return Status::FailedPrecondition("sorter is already merging");
   }
-  pending_.push_back(
-      Item{tag, label, Bytes(payload, payload + codec_->payload_size())});
-  ++item_count_;
+  const size_t ps = codec_->payload_size();
+  const size_t slot = pending_.size();
+  if (pending_plain_.size() < (slot + 1) * ps) {
+    pending_plain_.resize((slot + 1) * ps);
+  }
+  std::memcpy(pending_plain_.data() + slot * ps, payload, ps);
+  pending_.push_back(Item{tag, label, slot});
   if (pending_.size() >= run_blocks_) STEGHIDE_RETURN_IF_ERROR(SpillRun());
   return Status::OK();
 }
 
 Status ExternalMergeSorter::AddInMemory(const Bytes& payload, uint64_t tag,
                                         uint64_t label) {
-  if (merging_) {
-    return Status::FailedPrecondition("sorter is already merging");
-  }
   if (payload.size() != codec_->payload_size()) {
     return Status::InvalidArgument("sorter payload size mismatch");
   }
-  pending_.push_back(Item{tag, label, payload});
-  ++item_count_;
-  if (pending_.size() >= run_blocks_) STEGHIDE_RETURN_IF_ERROR(SpillRun());
+  return AddInMemory(payload.data(), tag, label);
+}
+
+Status ExternalMergeSorter::AddResident(const uint8_t* payload, uint64_t tag,
+                                        uint64_t label) {
+  if (merging_) {
+    return Status::FailedPrecondition("sorter is already merging");
+  }
+  resident_.push_back(Resident{tag, label, payload});
   return Status::OK();
 }
 
@@ -91,14 +96,15 @@ Status ExternalMergeSorter::SpillRun() {
   std::sort(pending_.begin(), pending_.end(),
             [](const Item& a, const Item& b) { return a.tag < b.tag; });
   Run run;
-  run.base = scratch_base_ + scratch_used_;
+  run.base = scratch_base_ + spilled_;
   run.tags.reserve(pending_.size());
   run.labels.reserve(pending_.size());
   // Seal the whole run, then write it with one vectored request — a
-  // sequential sweep of the scratch region. State (scratch_used_, runs_,
+  // sequential sweep of the scratch region. State (spilled_, runs_,
   // pending_) commits only after the write succeeds, so a failed slice
   // of a deamortized re-order can be re-driven: the retry re-seals the
   // same items into the same scratch positions.
+  const size_t ps = codec_->payload_size();
   seal_scratch_.resize(pending_.size() * codec_->block_size());
   std::vector<uint64_t> ids;
   ids.reserve(pending_.size());
@@ -106,7 +112,7 @@ Status ExternalMergeSorter::SpillRun() {
   batch_out_.clear();
   for (size_t i = 0; i < pending_.size(); ++i) {
     const Item& item = pending_[i];
-    batch_in_.push_back(item.payload.data());
+    batch_in_.push_back(pending_plain_.data() + item.slot * ps);
     batch_out_.push_back(seal_scratch_.data() + i * codec_->block_size());
     ids.push_back(run.base + i);
     run.tags.push_back(item.tag);
@@ -116,7 +122,7 @@ Status ExternalMergeSorter::SpillRun() {
       codec_->SealScatter(*cipher_, *drbg_, batch_in_, batch_out_));
   STEGHIDE_RETURN_IF_ERROR(device_->WriteBlocks(ids, seal_scratch_.data()));
   cells_.writes.Add(ids.size());
-  scratch_used_ += ids.size();
+  spilled_ += ids.size();
   runs_.push_back(std::move(run));
   pending_.clear();
   return Status::OK();
@@ -126,84 +132,83 @@ Status ExternalMergeSorter::BeginMerge(uint64_t dst_base) {
   if (merging_) return Status::FailedPrecondition("merge already begun");
 
   if (runs_.empty()) {
-    // Everything fits in the in-memory run: sort in place and stream the
-    // destination writes out in chunks — no scratch traffic.
-    merging_ = true;
-    dst_base_ = dst_base;
-    order_.reserve(item_count_);
-    mem_merge_ = true;
-    chunk_ = kMinChunkBlocks;
-    std::sort(pending_.begin(), pending_.end(),
-              [](const Item& a, const Item& b) { return a.tag < b.tag; });
-    merge_done_ = pending_.empty();
-    return Status::OK();
+    // The run-buffer inputs fit one run: they join the resident run
+    // (their payloads stay put in pending_plain_, which no longer grows)
+    // and the whole merge is one destination sweep — no scratch traffic.
+    const size_t ps = codec_->payload_size();
+    for (const Item& item : pending_) {
+      resident_.push_back(Resident{item.tag, item.label,
+                                   pending_plain_.data() + item.slot * ps});
+    }
+    pending_.clear();
+  } else {
+    // Spill the tail so every run-buffer input lives in some scratch
+    // run. With run size B and level sizes at most N, the fan-in is at
+    // most N/B = 2^k runs, so one pass always suffices. The merge arms
+    // only after the spill succeeds, so a failed slice of a deamortized
+    // re-order can re-drive BeginMerge.
+    STEGHIDE_RETURN_IF_ERROR(SpillRun());
   }
-
-  // Spill the tail so every item lives in some run on scratch, then arm
-  // the single chunked multi-way merge. With run size B and level sizes
-  // at most N, the fan-in is at most N/B = 2^k runs, so one pass always
-  // suffices; per-run read chunks and an output write chunk keep the I/O
-  // mostly sequential — the property behind Figure 12(b)'s "sorting is
-  // cheap in time". The merge arms only after the spill succeeds, so a
-  // failed slice of a deamortized re-order can re-drive BeginMerge.
-  STEGHIDE_RETURN_IF_ERROR(SpillRun());
+  std::sort(resident_.begin(), resident_.end(),
+            [](const Resident& a, const Resident& b) { return a.tag < b.tag; });
   merging_ = true;
   dst_base_ = dst_base;
-  order_.reserve(item_count_);
+  order_.reserve(item_count());
+  // Per-run read chunks and an output write chunk keep the I/O mostly
+  // sequential — the property behind Figure 12(b)'s "sorting is cheap in
+  // time". The resident run needs no look-ahead.
   const size_t fanin = runs_.size();
-  chunk_ = std::max<uint64_t>(kMinChunkBlocks, run_blocks_ / (fanin + 1));
+  chunk_ = fanin == 0 ? kMinChunkBlocks
+                      : std::max<uint64_t>(kMinChunkBlocks,
+                                           run_blocks_ / (fanin + 1));
+  out_plain_.resize(chunk_ * codec_->payload_size());
+  if (lookahead_.size() < fanin * chunk_ * codec_->payload_size()) {
+    lookahead_.resize(fanin * chunk_ * codec_->payload_size());
+  }
   cursors_.clear();
-  cursors_.reserve(fanin);
-  for (size_t r = 0; r < fanin; ++r) cursors_.push_back(Cursor{r, 0, 0, {}});
-  merge_done_ = item_count_ == 0;
+  cursors_.resize(fanin);
+  for (size_t r = 0; r < fanin; ++r) cursors_[r].run = r;
+  merge_done_ = item_count() == 0;
   return Status::OK();
+}
+
+uint8_t* ExternalMergeSorter::CursorPlain(const Cursor& c) {
+  return lookahead_.data() + c.run * chunk_ * codec_->payload_size();
 }
 
 Status ExternalMergeSorter::RefillCursor(Cursor& c) {
   const Run& run = runs_[c.run];
-  c.chunk_begin = c.next;
   const uint64_t end = std::min<uint64_t>(c.next + chunk_, run.tags.size());
-  c.chunk_payloads.clear();
   std::vector<uint64_t> ids;
-  ids.reserve(end - c.chunk_begin);
-  for (uint64_t i = c.chunk_begin; i < end; ++i) {
-    ids.push_back(run.base + i);
-  }
-  Bytes blocks;
-  STEGHIDE_RETURN_IF_ERROR(device_->ReadBlocks(ids, blocks));
+  ids.reserve(end - c.next);
+  for (uint64_t i = c.next; i < end; ++i) ids.push_back(run.base + i);
+  refill_sealed_.resize(ids.size() * codec_->block_size());
+  STEGHIDE_RETURN_IF_ERROR(device_->ReadBlocks(ids, refill_sealed_.data()));
   cells_.reads.Add(ids.size());
-  // One batched open for the whole look-ahead chunk.
-  batch_in_.clear();
-  batch_out_.clear();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    c.chunk_payloads.emplace_back(codec_->payload_size());
-    batch_in_.push_back(blocks.data() + i * codec_->block_size());
-    batch_out_.push_back(c.chunk_payloads.back().data());
-  }
-  return codec_->OpenScatter(*cipher_, batch_in_, batch_out_);
+  // One batched open for the whole look-ahead chunk. The chunk becomes
+  // visible only once it decrypted, so a failed refill is re-driven.
+  STEGHIDE_RETURN_IF_ERROR(codec_->OpenBlocks(*cipher_, refill_sealed_.data(),
+                                              ids.size(), CursorPlain(c)));
+  c.chunk_begin = c.next;
+  c.chunk_len = ids.size();
+  return Status::OK();
 }
 
 Status ExternalMergeSorter::FlushOutput() {
-  if (out_chunk_.empty()) return Status::OK();
+  if (out_count_ == 0) return Status::OK();
   // out_pos_ advances only after the vectored write succeeds (and
-  // out_chunk_ stays intact on failure), so a re-driven MergeStep
+  // out_plain_ stays intact on failure), so a re-driven MergeStep
   // re-writes the same chunk at the same destination offsets.
-  seal_scratch_.resize(out_chunk_.size() * codec_->block_size());
-  std::vector<uint64_t> ids;
-  ids.reserve(out_chunk_.size());
-  batch_in_.clear();
-  batch_out_.clear();
-  for (size_t i = 0; i < out_chunk_.size(); ++i) {
-    batch_in_.push_back(out_chunk_[i].data());
-    batch_out_.push_back(seal_scratch_.data() + i * codec_->block_size());
-    ids.push_back(dst_base_ + out_pos_ + i);
-  }
-  STEGHIDE_RETURN_IF_ERROR(
-      codec_->SealScatter(*cipher_, *drbg_, batch_in_, batch_out_));
+  seal_scratch_.resize(out_count_ * codec_->block_size());
+  std::vector<uint64_t> ids(out_count_);
+  for (uint64_t i = 0; i < out_count_; ++i) ids[i] = dst_base_ + out_pos_ + i;
+  STEGHIDE_RETURN_IF_ERROR(codec_->SealBlocks(*cipher_, *drbg_,
+                                              out_plain_.data(), out_count_,
+                                              seal_scratch_.data()));
   STEGHIDE_RETURN_IF_ERROR(device_->WriteBlocks(ids, seal_scratch_.data()));
   cells_.writes.Add(ids.size());
   out_pos_ += ids.size();
-  out_chunk_.clear();
+  out_count_ = 0;
   return Status::OK();
 }
 
@@ -211,64 +216,64 @@ Status ExternalMergeSorter::MergeStep(uint64_t budget_blocks, bool* done,
                                       uint64_t* consumed) {
   if (!merging_) return Status::FailedPrecondition("BeginMerge not called");
   uint64_t used = 0;
-  const auto charge = [&](uint64_t blocks) { used += blocks; };
+  const size_t ps = codec_->payload_size();
 
   while (!merge_done_) {
-    if (mem_merge_) {
-      // Stream the sorted in-memory run to the destination, one sealed
-      // vectored chunk at a time.
-      const uint64_t left = pending_.size() - mem_next_;
-      uint64_t n = std::min<uint64_t>(chunk_, left);
-      if (used > 0 && used + n > budget_blocks) break;
-      for (uint64_t i = 0; i < n; ++i) {
-        out_chunk_.push_back(std::move(pending_[mem_next_].payload));
-        order_.push_back(pending_[mem_next_].label);
-        ++mem_next_;
-      }
+    // A full output chunk goes out before anything else is emitted, so
+    // destination writes are whole chunks whatever the budget.
+    if (out_count_ >= chunk_) {
+      const uint64_t full = out_count_;
+      if (used > 0 && used + full > budget_blocks) break;
       STEGHIDE_RETURN_IF_ERROR(FlushOutput());
-      charge(n);
-      merge_done_ = mem_next_ >= pending_.size();
+      used += full;
       if (used >= budget_blocks) break;
       continue;
     }
 
-    // Pick the cursor with the smallest pending tag.
+    // Pick the smallest pending tag: the resident head (which wins ties,
+    // as the newest copies did in the blocking add order), then each run.
+    bool found = resident_next_ < resident_.size();
+    uint64_t best_tag = found ? resident_[resident_next_].tag : 0;
     Cursor* best = nullptr;
     for (Cursor& c : cursors_) {
-      if (c.next >= runs_[c.run].tags.size()) continue;
-      if (best == nullptr ||
-          runs_[c.run].tags[c.next] < runs_[best->run].tags[best->next]) {
+      const Run& run = runs_[c.run];
+      if (c.next >= run.tags.size()) continue;
+      if (!found || run.tags[c.next] < best_tag) {
+        found = true;
         best = &c;
+        best_tag = run.tags[c.next];
       }
     }
-    if (best == nullptr) {
-      const uint64_t tail = out_chunk_.size();
+    if (!found) {
+      const uint64_t tail = out_count_;
+      if (used > 0 && used + tail > budget_blocks) break;
       STEGHIDE_RETURN_IF_ERROR(FlushOutput());
-      charge(tail);
+      used += tail;
       merge_done_ = true;
       break;
     }
 
-    if (best->next >= best->chunk_begin + best->chunk_payloads.size() ||
-        best->chunk_payloads.empty()) {
-      const uint64_t need = std::min<uint64_t>(
-          chunk_, runs_[best->run].tags.size() - best->next);
-      // A refill is a whole-chunk read; stop at the budget boundary
-      // unless nothing has been done yet (progress guarantee).
-      if (used > 0 && used + need > budget_blocks) break;
-      STEGHIDE_RETURN_IF_ERROR(RefillCursor(*best));
-      charge(need);
+    const uint8_t* payload = nullptr;
+    if (best == nullptr) {
+      const Resident& item = resident_[resident_next_++];
+      order_.push_back(item.label);
+      payload = item.payload;
+    } else {
+      if (best->next >= best->chunk_begin + best->chunk_len) {
+        const uint64_t need = std::min<uint64_t>(
+            chunk_, runs_[best->run].tags.size() - best->next);
+        // A refill is a whole-chunk read; stop at the budget boundary
+        // unless nothing has been done yet (progress guarantee).
+        if (used > 0 && used + need > budget_blocks) break;
+        STEGHIDE_RETURN_IF_ERROR(RefillCursor(*best));
+        used += need;
+      }
+      order_.push_back(runs_[best->run].labels[best->next]);
+      payload = CursorPlain(*best) + (best->next - best->chunk_begin) * ps;
+      ++best->next;
     }
-    order_.push_back(runs_[best->run].labels[best->next]);
-    out_chunk_.push_back(
-        std::move(best->chunk_payloads[best->next - best->chunk_begin]));
-    ++best->next;
-    if (out_chunk_.size() >= chunk_) {
-      const uint64_t tail = out_chunk_.size();
-      if (used > 0 && used + tail > budget_blocks) break;
-      STEGHIDE_RETURN_IF_ERROR(FlushOutput());
-      charge(tail);
-    }
+    std::memcpy(out_plain_.data() + out_count_ * ps, payload, ps);
+    ++out_count_;
     if (used >= budget_blocks) break;
   }
 
@@ -279,11 +284,11 @@ Status ExternalMergeSorter::MergeStep(uint64_t budget_blocks, bool* done,
 
 uint64_t ExternalMergeSorter::merge_remaining_blocks() const {
   if (!merging_ || merge_done_) return 0;
-  if (mem_merge_) return pending_.size() - mem_next_;
-  // Each unemitted item costs ~1 run read + 1 destination write; the
-  // buffered output chunk still owes its write.
-  const uint64_t emitted = order_.size();
-  return 2 * (item_count_ - emitted) + out_chunk_.size();
+  // A resident item owes its destination write; a spilled one a run
+  // re-read as well. The staged output chunk still owes its write.
+  const uint64_t resident_left = resident_.size() - resident_next_;
+  const uint64_t spilled_left = spilled_ - (order_.size() - resident_next_);
+  return resident_left + 2 * spilled_left + out_count_;
 }
 
 std::vector<uint64_t> ExternalMergeSorter::TakeOrder() {

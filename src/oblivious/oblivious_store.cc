@@ -277,14 +277,17 @@ bool ObliviousStore::shadow_spindle_separated() const {
 
 Status ObliviousStore::ChargeIndexRebuild(const Level& level) {
   if (!options_.charge_index_io) return Status::OK();
-  // 16 bytes per entry (hashed key + slot), written sequentially.
+  // 16 bytes per entry (hashed key + slot), written sequentially. The
+  // writes land on the scratch partition: it is idle at every install
+  // (the re-order that used it is done, the next has not started), while
+  // the level's own slots hold live records.
   const uint64_t entry_bytes = 16 * level.live_count();
   const uint64_t blocks =
       (entry_bytes + codec_.block_size() - 1) / codec_.block_size();
   Bytes block(codec_.block_size(), 0);
   for (uint64_t i = 0; i < blocks && i < level.capacity; ++i) {
     STEGHIDE_RETURN_IF_ERROR(
-        maint_device_->WriteBlock(level.base + i, block.data()));
+        maint_device_->WriteBlock(options_.scratch_base + i, block.data()));
     cells_.index_io.Increment();
   }
   return Status::OK();
@@ -650,8 +653,8 @@ Status ObliviousStore::Remove(RecordId id) {
   const auto it = present_index_.find(id);
   if (it == present_index_.end()) return Status::NotFound("record not cached");
   buffer_.erase(id);
-  flushing_.erase(id);
-  // A chain snapshot may still carry the record; the tombstone strips it
+  // A chain snapshot may still carry the record — flushing_ keeps its
+  // entry, whose payload the flush job borrows; the tombstone strips it
   // from every index the chain installs, so an evicted record can never
   // be resurrected by an in-flight rebuild.
   if (ChainActiveLocked()) chain_tombstones_.insert(id);
@@ -746,19 +749,21 @@ Status ObliviousStore::FlushBuffer() {
     return Status::OK();
   }
 
+  if (!options_.strict_reorder_schedule &&
+      buffer_.size() < DeferLimitRecords()) {
+    // Coalesce: the buffer keeps absorbing stagings up to the limit,
+    // whether or not a chain is still running, so the flush point is a
+    // fixed function of the staged-record count — never of how early the
+    // idle pump finished the previous chain. One rebuild then absorbs
+    // the whole set, and a set that outgrows the upper levels folds them
+    // — those records skip per-level rewrites.
+    cells_.deferred_flushes.Increment();
+    return Status::OK();
+  }
   if (ChainActiveLocked()) {
-    if (!options_.strict_reorder_schedule &&
-        buffer_.size() < DeferLimitRecords()) {
-      // Coalesce: let the running chain finish while the buffer keeps
-      // absorbing stagings (bounded by defer_flush_limit). One rebuild
-      // then absorbs the whole set, and a set that outgrows the upper
-      // levels folds them — those records skip per-level rewrites.
-      cells_.deferred_flushes.Increment();
-      return Status::OK();
-    }
-    // Hard backstop (or strict schedule): finish the remaining chain
-    // work synchronously. With pacing and idle pumping this remainder is
-    // small — it is what max_stall_ms measures.
+    // At the limit (or on every trigger of the strict schedule): finish
+    // the remaining chain work synchronously. With pacing and idle
+    // pumping this remainder is small — it is what max_stall_ms measures.
     STEGHIDE_RETURN_IF_ERROR(DrainChainLocked());
   }
   return StartFlushChainLocked();
@@ -792,10 +797,12 @@ Status ObliviousStore::ReorderInto(
   reorder_added_.clear();
   reorder_added_.reserve(target.capacity);
 
-  // Priority: in-memory (newest) > source level > target level.
+  // Priority: in-memory (newest) > source level > target level. The
+  // in-memory records are the sorter's resident run, merged straight
+  // from the buffer.
   for (const auto& [id, payload] : in_memory) {
     STEGHIDE_RETURN_IF_ERROR(
-        sorter_->AddInMemory(*payload, Drbg().NextUint64(), id));
+        sorter_->AddResident(payload->data(), Drbg().NextUint64(), id));
     reorder_added_.insert(id);
   }
   for (Level* src : {source, &target}) {
@@ -921,8 +928,10 @@ Status ObliviousStore::StartFlushChainLocked() {
   reorder_added_.reserve(levels_[t].capacity);
   ReorderJob::Inputs flush_inputs;
   flush_inputs.memory.reserve(flush_size);
+  // The flush job borrows the snapshot payloads: flushing_ is neither
+  // modified nor cleared until that job installs.
   for (const auto& [id, payload] : flushing_) {
-    flush_inputs.memory.push_back({id, payload, Drbg().NextUint64()});
+    flush_inputs.memory.push_back({id, payload.data(), Drbg().NextUint64()});
     reorder_added_.insert(id);
   }
   std::vector<size_t> flush_clears;

@@ -49,7 +49,8 @@ struct ObliviousStoreOptions {
   /// corresponding level". When set, every level scan pass pays one extra
   /// index-block read — shared by every request in the pass, which is
   /// where batching changes the overhead *factor* — and every re-order
-  /// pays sequential index writes.
+  /// pays sequential index writes, charged to the idle scratch partition
+  /// so they never overwrite live level slots.
   bool charge_index_io = false;
 
   // ---- Deamortized re-orders ----------------------------------------------
@@ -71,23 +72,25 @@ struct ObliviousStoreOptions {
   /// tax self-paces above this floor: remaining chain work is spread
   /// evenly over the stagings left before the hard flush backstop.
   uint64_t reorder_step_blocks = 64;
-  /// Keep flush trigger points identical to the blocking schedule: when
-  /// a flush fires while a chain is still running, drain it synchronously
-  /// instead of deferring. Costs the coalescing win; used by the
+  /// Keep flush trigger points identical to the blocking schedule: flush
+  /// at every B staged records, and when a flush fires while a chain is
+  /// still running, drain it synchronously instead of deferring. Costs
+  /// the coalescing win; used by the
   /// trace-equivalence tests, which pin per-level touch counts against
   /// the blocking schedule request by request.
   bool strict_reorder_schedule = false;
   /// Flush-coalescing cap, in records (0 = auto: N/4, floored at B and
-  /// capped at 2048 — see DeferLimitRecords()): while a chain is
-  /// running, flush triggers defer until the agent buffer holds this
-  /// many records, then the chain is drained and one rebuild absorbs
-  /// the whole set. A set larger than a level's capacity folds
-  /// that level into the rebuild and installs directly into the first
-  /// level that fits, so coalesced records *skip* the upper-level
-  /// rewrites entirely — the duty-cycle win that lets the deamortized
-  /// path beat the blocking schedule on total re-order volume, not just
-  /// on stalls. Flush sizes depend only on chain timing, i.e. on the
-  /// observable schedule, never on record contents.
+  /// capped at 2048 — see DeferLimitRecords()): outside the strict
+  /// schedule, flush triggers defer until the agent buffer holds this
+  /// many records, whether or not a chain is running; then any running
+  /// chain is drained and one rebuild absorbs the whole set. A set
+  /// larger than a level's capacity folds that level into the rebuild
+  /// and installs directly into the first level that fits, so coalesced
+  /// records *skip* the upper-level rewrites entirely — the duty-cycle
+  /// win that lets the deamortized path beat the blocking schedule on
+  /// total re-order volume, not just on stalls. Flush sizes depend only
+  /// on the staged-record count (and group sizes), never on record
+  /// contents or on how fast chains finish.
   uint64_t defer_flush_limit = 0;
 
   // ---- Fault tolerance ----------------------------------------------------
@@ -213,8 +216,8 @@ struct ObliviousStats {
 /// per-level touch counts, and the sweep itself stays the data-
 /// independent ascending-read + sequential-write pattern — the
 /// obliviousness argument is interleaving-invariant. Unless
-/// strict_reorder_schedule is set, a flush firing mid-chain defers
-/// (coalescing up to 2B records into one rebuild) instead of stalling.
+/// strict_reorder_schedule is set, flush triggers defer until the buffer
+/// holds DeferLimitRecords() records, coalescing them into one rebuild.
 ///
 /// Thread safety: public operations serialize on one internal mutex at
 /// *scan-pass granularity* — a MultiRead/MultiWrite group (its level
@@ -321,6 +324,26 @@ class ObliviousStore {
   /// hierarchy. Benches/tests check this instead of assuming the option
   /// stuck.
   bool deamortized() const { return options_.deamortize_reorders; }
+
+  /// Staged records at which a deamortized, non-strict store flushes:
+  /// every trigger below it defers, whether or not a chain is running, so
+  /// the flush point is a fixed function of the staged-record count.
+  /// defer_flush_limit when set, else N/4 — flush sets then fold every
+  /// level up to a quarter of the hierarchy, so coalesced records skip
+  /// those levels' rewrites, and the pacing window for a bottom-level
+  /// rebuild spans a quarter of the record population. Capped at 2048
+  /// records (8 MB of agent staging RAM at 4 KB blocks — the same
+  /// real-RAM-does-not-shrink argument as the sort-run floor). When
+  /// N/4 <= B the limit degenerates to B: shallow hierarchies keep the
+  /// blocking flush schedule (coalescing there just rebuilds the bottom
+  /// level per flush) and take only the pacing/latency win.
+  uint64_t DeferLimitRecords() const {
+    if (options_.defer_flush_limit != 0) return options_.defer_flush_limit;
+    constexpr uint64_t kDeferCapRecords = 2048;
+    return std::max<uint64_t>(
+        options_.buffer_blocks,
+        std::min<uint64_t>(kDeferCapRecords, options_.capacity_blocks / 4));
+  }
 
   /// Counts level-permutation installs (blocking re-orders and chain job
   /// flips alike). Readers use it to reason about epoch consistency:
@@ -533,6 +556,9 @@ class ObliviousStore {
   /// hold up to 2B - 1 records — still within level 1's capacity.
   Status MaybeFlush();
 
+  /// Blocking: the flush/dump cascade, inline. Deamortized: defers below
+  /// DeferLimitRecords() (unless strict), else drains any running chain
+  /// and starts the next.
   Status FlushBuffer();
 
   /// Dumps level `i` (1-based) into level i+1 (merging + re-shuffle).
@@ -545,33 +571,16 @@ class ObliviousStore {
                      const std::vector<std::pair<RecordId, const Bytes*>>&
                          in_memory);
 
-  /// charge_index_io: sequential index rewrite after re-ordering `level`.
-  /// (The per-pass index read is planned inline by PlanScan, so it joins
-  /// the level probes in one batched request.)
+  /// charge_index_io: sequential index rewrite after re-ordering `level`,
+  /// written to the scratch partition (idle between re-orders). (The
+  /// per-pass index read is planned inline by PlanScan, so it joins the
+  /// level probes in one batched request.)
   Status ChargeIndexRebuild(const Level& level);
 
   // ---- Deamortized chain machinery (callers hold mu_) ---------------------
 
   bool ChainActiveLocked() const {
     return chain_ != nullptr && !chain_->steps.empty();
-  }
-
-  /// Records the buffer may coalesce before the hard flush backstop.
-  /// Auto default: N/4 — flush sets then fold every level up to a
-  /// quarter of the hierarchy, so coalesced records skip those levels'
-  /// rewrites, and the pacing window for a bottom-level rebuild spans a
-  /// quarter of the record population. Capped at 2048 records (8 MB of
-  /// agent staging RAM at 4 KB blocks — the same real-RAM-does-not-
-  /// shrink argument as the sort-run floor). When N/4 <= B the limit
-  /// degenerates to B: shallow hierarchies keep the blocking flush
-  /// schedule (coalescing there just rebuilds the bottom level per
-  /// flush) and take only the pacing/latency win.
-  uint64_t DeferLimitRecords() const {
-    if (options_.defer_flush_limit != 0) return options_.defer_flush_limit;
-    constexpr uint64_t kDeferCapRecords = 2048;
-    return std::max<uint64_t>(
-        options_.buffer_blocks,
-        std::min<uint64_t>(kDeferCapRecords, options_.capacity_blocks / 4));
   }
 
   /// Plans the flush cascade at trigger time (snapshot + tags +
@@ -667,9 +676,11 @@ class ObliviousStore {
   // ---- Deamortized chain state (guarded by mu_) ---------------------------
 
   std::unique_ptr<ReorderChain> chain_;
-  /// Flush snapshot being installed by the chain's level-1 job. Records
-  /// here are served from memory behind a full decoy sweep ("ghosts"),
-  /// so the trace keeps the blocking schedule's touch counts.
+  /// Flush snapshot being installed by the chain's flush job, which
+  /// borrows these payloads: entries stay put (Remove() included) until
+  /// that job installs. Records here are served from memory behind a full
+  /// decoy sweep ("ghosts"), so the trace keeps the blocking schedule's
+  /// touch counts.
   std::unordered_map<RecordId, Bytes> flushing_;
   /// Ids Remove()d while the chain runs; erased from freshly installed
   /// indexes so a snapshot can never resurrect an evicted record.

@@ -20,25 +20,23 @@ ReorderJob::ReorderJob(storage::BlockDevice* device,
 }
 
 Status ReorderJob::StepBuildRuns(uint64_t budget_blocks, uint64_t& used) {
-  // The flush set first: it carries the newest copies, and feeding it
-  // before the device sweep reproduces the blocking add order (in-memory
-  // > source > target), so equal tags — impossible anyway with a 64-bit
-  // DRBG — would resolve identically. Memory adds cost no reads, but a
-  // full run spills sequentially through the sorter, which we charge.
+  // The flush set first: it carries the newest copies and becomes the
+  // sorter's resident run, merged straight from the borrowed payloads —
+  // no reads, no scratch spill. Feeding it before the device sweep
+  // reproduces the blocking add order (in-memory > source > target), so
+  // equal tags — impossible anyway with a 64-bit DRBG — would resolve
+  // identically. Device inputs that outgrow one run spill sequentially
+  // through the sorter, which we charge.
+  if (!memory_fed_) {
+    for (const MemoryInput& in : inputs_.memory) {
+      STEGHIDE_RETURN_IF_ERROR(
+          sorter_->AddResident(in.payload, in.tag, in.id));
+    }
+    memory_fed_ = true;
+  }
   const auto sorter_io = [&] {
     return sorter_->stats().reads + sorter_->stats().writes;
   };
-  while (next_memory_ < inputs_.memory.size()) {
-    if (used >= budget_blocks) return Status::OK();
-    const MemoryInput& in = inputs_.memory[next_memory_];
-    // Consume the input before the fallible add: on a spill error the
-    // item already sits in the sorter's pending run (which the retry
-    // re-spills), so re-adding it would duplicate the record.
-    ++next_memory_;
-    const uint64_t before = sorter_io();
-    STEGHIDE_RETURN_IF_ERROR(sorter_->AddInMemory(in.payload, in.tag, in.id));
-    used += sorter_io() - before;
-  }
 
   while (next_device_ < inputs_.device.size()) {
     if (used >= budget_blocks) return Status::OK();
@@ -63,9 +61,11 @@ Status ReorderJob::StepBuildRuns(uint64_t budget_blocks, uint64_t& used) {
         *cipher_, read_scratch_.data(), take, payload_scratch_.data()));
     for (uint64_t i = 0; i < take; ++i) {
       const DeviceInput& in = inputs_.device[next_device_];
-      // Consumed before the fallible add — see the memory loop above.
-      // A re-driven step then re-reads any not-yet-added tail of this
-      // chunk through a fresh vectored read, never re-adds this item.
+      // Consume the input before the fallible add: on a spill error the
+      // item already sits in the sorter's pending run (which the retry
+      // re-spills), so re-adding it would duplicate the record. A
+      // re-driven step re-reads any not-yet-added tail of this chunk
+      // through a fresh vectored read.
       ++next_device_;
       const uint64_t before = sorter_io();
       STEGHIDE_RETURN_IF_ERROR(sorter_->AddInMemory(
@@ -113,11 +113,12 @@ uint64_t ReorderJob::remaining_blocks() const {
     case Phase::kMerge:
       return sorter_->merge_remaining_blocks();
     case Phase::kBuildRuns: {
-      // Unread inputs each cost ~1 read + 1 run write, then the merge
-      // re-reads and writes everything once more.
+      // Unread device inputs each cost ~1 read + 1 run write, then the
+      // merge re-reads and writes them once more; flush-set records only
+      // owe their destination write.
       const uint64_t device_left = inputs_.device.size() - next_device_;
-      const uint64_t memory_left = inputs_.memory.size() - next_memory_;
-      return 2 * device_left + memory_left + 2 * record_count();
+      return 2 * device_left + 2 * inputs_.device.size() +
+             inputs_.memory.size();
     }
   }
   return 0;

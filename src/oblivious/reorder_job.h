@@ -34,8 +34,10 @@ namespace steghide::oblivious {
 /// reconciled by the store with tombstones at install time.
 ///
 /// Phases:
-///   kBuildRuns — read device-input chunks (vectored), decrypt, feed the
-///                sorter; full runs spill to scratch sequentially.
+///   kBuildRuns — hand the flush set to the sorter as its resident run
+///                (borrowed, no I/O), then read device-input chunks
+///                (vectored), decrypt and feed the sorter; full runs of
+///                device inputs spill to scratch sequentially.
 ///   kMerge     — the sorter's chunked multi-way merge into dst_base.
 ///   kDone      — slot order available via TakeOrder(); the store
 ///                performs the install flip (level metadata is never
@@ -52,14 +54,17 @@ class ReorderJob {
   };
   struct MemoryInput {
     RecordId id = 0;
-    Bytes payload;
+    /// Borrowed payload_size() bytes (the store's flush snapshot); must
+    /// stay valid and unchanged until the job is done.
+    const uint8_t* payload = nullptr;
     uint64_t tag = 0;
   };
   struct Inputs {
     /// Ascending live-slot sweep order (source level then target level,
     /// exactly the blocking read sequence).
     std::vector<DeviceInput> device;
-    /// The flush set (agent buffer snapshot); read cost-free.
+    /// The flush set (agent buffer snapshot): read cost-free and merged
+    /// from memory, so each record costs one destination write.
     std::vector<MemoryInput> memory;
   };
   enum class Phase { kBuildRuns, kMerge, kDone };
@@ -88,7 +93,9 @@ class ReorderJob {
     return inputs_.device.size() + inputs_.memory.size();
   }
 
-  /// Device-I/O estimate for the remaining work, for self-pacing.
+  /// Device-I/O estimate for the remaining work, for self-pacing: a
+  /// flush-set record owes one destination write, a device input its read,
+  /// run spill, run re-read and write.
   uint64_t remaining_blocks() const;
 
   /// Record ids in final slot order; call once, when done().
@@ -118,8 +125,8 @@ class ReorderJob {
   Phase phase_ = Phase::kBuildRuns;
   bool started_ = false;
 
-  size_t next_memory_ = 0;  // next memory input to feed
-  size_t next_device_ = 0;  // next device input to read
+  bool memory_fed_ = false;  // flush set handed to the sorter
+  size_t next_device_ = 0;   // next device input to read
   uint64_t input_reads_ = 0;
 
   Bytes read_scratch_;      // vectored input staging

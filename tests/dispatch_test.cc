@@ -608,8 +608,12 @@ TEST(DispatchDeamortizedTest, ManyThreadsKeepIntegrityAcrossIncrementalChains) {
   System sys(992, DeamortStoreOptions());
   const size_t kUsers = 8;
   const size_t kOps = 12;
+  // Enough distinct blocks that staging crosses the flush point
+  // (DeferLimitRecords() = 32 at B = 8, N = 128) during the prewarm and
+  // again under load, so chains run while the users are served.
+  const size_t kBlocks = 2 * sys.agent->store().DeferLimitRecords() / kUsers;
   const size_t payload = sys.core.payload_size();
-  const auto ids = sys.Populate(kUsers, 3);
+  const auto ids = sys.Populate(kUsers, kBlocks);
 
   DispatcherOptions options;
   options.max_batch = 8;
@@ -625,12 +629,12 @@ TEST(DispatchDeamortizedTest, ManyThreadsKeepIntegrityAcrossIncrementalChains) {
   for (size_t u = 0; u < kUsers; ++u) {
     users.push_back([&, u]() -> Status {
       Rng rng(6000 + u);
-      std::vector<Bytes> latest(3);
-      for (size_t b = 0; b < 3; ++b) latest[b] = sys.ExpectedBlock(u, b);
+      std::vector<Bytes> latest(kBlocks);
+      for (size_t b = 0; b < kBlocks; ++b) latest[b] = sys.ExpectedBlock(u, b);
       for (size_t op = 0; op < kOps; ++op) {
         std::this_thread::sleep_for(
             std::chrono::microseconds(rng.Uniform(400)));
-        const uint64_t block = rng.Uniform(3);
+        const uint64_t block = rng.Uniform(kBlocks);
         if (rng.Bernoulli(0.5)) {
           Bytes data(payload, static_cast<uint8_t>(u * 16 + op));
           STEGHIDE_RETURN_IF_ERROR(
@@ -664,17 +668,20 @@ TEST(DispatchDeamortizedTest, ReaderCountsInstallsObservedMidBatch) {
   // permutation flips instead of being fenced out by them.
   System sys(994, DeamortStoreOptions());
   const size_t payload = sys.core.payload_size();
-  const auto ids = sys.Populate(6, 4, /*prewarm=*/false);
+  // Six files of DeferLimitRecords() / 4 blocks (8 at B = 8, N = 128):
+  // 48 records, so the staged count crosses the flush point.
+  const size_t kBlocks = sys.agent->store().DeferLimitRecords() / 4;
+  const auto ids = sys.Populate(6, kBlocks, /*prewarm=*/false);
 
-  // First-touch reads: each batch miss-fills 4 blocks, and the fills'
-  // flushes install mid-batch once the buffer cycles.
+  // First-touch reads: each batch miss-fills kBlocks blocks, and the
+  // fills' flushes install mid-batch once the buffer cycles.
   for (size_t f = 0; f < ids.size(); ++f) {
-    ASSERT_TRUE(sys.agent->Read(ids[f], 0, 4 * payload).ok());
+    ASSERT_TRUE(sys.agent->Read(ids[f], 0, kBlocks * payload).ok());
   }
   // Cached re-reads keep staging records, so chains keep installing.
   for (int round = 0; round < 8; ++round) {
     for (size_t f = 0; f < ids.size(); ++f) {
-      ASSERT_TRUE(sys.agent->Read(ids[f], 0, 4 * payload).ok());
+      ASSERT_TRUE(sys.agent->Read(ids[f], 0, kBlocks * payload).ok());
     }
   }
   EXPECT_GT(sys.agent->reader().stats().reorder_epoch_flips, 0u)
@@ -701,21 +708,25 @@ TEST(DispatchDeamortizedTest, IdleDispatcherPumpsReorderBacklogDry) {
   // condvar is not signalled by store-internal work, so the worker stays
   // asleep and cannot drain it yet). Pre-fill deep levels first — with
   // everything drained — so the burst below triggers a cascade chain too
-  // large for any single serving tax slice to finish.
+  // large for any single serving tax slice to finish. Each round and the
+  // burst stage one flush point's worth (DeferLimitRecords() = 32 at
+  // B = 8, N = 128), so the flush fires on the burst's last group and
+  // only that group's tax runs before the call returns.
   auto& store = sys.agent->store();
+  const uint64_t flush_point = store.DeferLimitRecords();
   uint64_t next_id = 1 << 20;
   {
-    Bytes fill(8 * store.payload_size(), 0x11);
-    std::vector<oblivious::RecordId> ids(8);
-    for (int round = 0; round < 10; ++round) {
+    Bytes fill(flush_point * store.payload_size(), 0x11);
+    std::vector<oblivious::RecordId> ids(flush_point);
+    for (int round = 0; round < 2; ++round) {
       for (auto& id : ids) id = next_id++;
       ASSERT_TRUE(store.MultiInsert(ids, fill.data()).ok());
       bool more = true;
       while (more) ASSERT_TRUE(store.StepReorder(1u << 20, &more).ok());
     }
   }
-  Bytes payloads(32 * store.payload_size(), 0x5a);
-  std::vector<oblivious::RecordId> fresh(32);
+  Bytes payloads(flush_point * store.payload_size(), 0x5a);
+  std::vector<oblivious::RecordId> fresh(flush_point);
   for (auto& id : fresh) id = next_id++;
   bool pending = false;
   for (int round = 0; round < 8 && !pending; ++round) {

@@ -539,18 +539,21 @@ struct FaultySystem {
     uint64_t next_id = 1 << 20;
     // Pre-fill deep levels with everything drained, so the burst below
     // triggers a cascade too large to finish inside one call's taxes.
+    // Rounds and burst stage one flush point's worth of records each
+    // (DeferLimitRecords() = 32 at B = 8, N = 128); fewer never flush.
+    const uint64_t flush_point = store.DeferLimitRecords();
     {
-      Bytes fill(8 * store.payload_size(), 0x11);
-      std::vector<oblivious::RecordId> rids(8);
-      for (int round = 0; round < 8; ++round) {
+      Bytes fill(flush_point * store.payload_size(), 0x11);
+      std::vector<oblivious::RecordId> rids(flush_point);
+      for (int round = 0; round < 2; ++round) {
         for (auto& id : rids) id = next_id++;
         ASSERT_TRUE(store.MultiInsert(rids, fill.data()).ok());
         bool more = true;
         while (more) ASSERT_TRUE(store.StepReorder(1u << 20, &more).ok());
       }
     }
-    Bytes payloads(16 * store.payload_size(), 0x5a);
-    std::vector<oblivious::RecordId> fresh(16);
+    Bytes payloads(flush_point * store.payload_size(), 0x5a);
+    std::vector<oblivious::RecordId> fresh(flush_point);
     for (auto& id : fresh) id = next_id++;
     for (int round = 0; round < 8 && !store.reorder_pending(); ++round) {
       // Re-staging the same ids keeps the flush pressure up without

@@ -173,8 +173,10 @@ TEST(DeamortizedStoreTest, InstallFlipsBasesIntoShadowRegion) {
   ASSERT_TRUE(store.ok()) << store.status().ToString();
 
   const std::vector<uint64_t> primary_bases = (*store)->LevelBases();
-  // First flush trigger: B inserts; drain whatever the taxes left over.
-  for (uint64_t id = 0; id < 4; ++id) {
+  // First flush point: DeferLimitRecords() inserts (8 at B = 4, N = 32;
+  // earlier triggers coalesce); drain whatever the taxes left over.
+  const uint64_t flush_point = (*store)->DeferLimitRecords();
+  for (uint64_t id = 0; id < flush_point; ++id) {
     ASSERT_TRUE(
         (*store)->Insert(id, PayloadFor(**store, static_cast<uint8_t>(id)).data()).ok());
   }
@@ -619,6 +621,157 @@ TEST(DeamortizedTraceTest, ReorderWritesAreSequentialRegionSweeps) {
   }
   EXPECT_FALSE(next_expected.empty());
 }
+
+TEST(DeamortizedTraceTest, FlushPointsIgnoreHowChainsAreDriven) {
+  // Twin non-strict stores, same seed and request schedule. One drains
+  // every chain right after the op that started it (an idle pump that
+  // always wins); the other never pumps, so chains advance only through
+  // serving taxes and the drain at the flush point. Flushes fire at the
+  // same staged-record counts (DeferLimitRecords() = 16 here), and the
+  // per-level touch counts — serving probes plus re-order sweeps, either
+  // region of each level, plus scratch — are identical. Single-record ops
+  // keep every flush set at exactly the limit, which never folds a
+  // non-empty level: a folded level stays probed until its flush job
+  // installs, and that moment does depend on how fast the chain runs.
+  const uint64_t kB = 4, kN = 64;
+  struct Run {
+    std::vector<size_t> flush_ops;
+    std::vector<RegionCounts> counts;
+    ObliviousStats stats;
+  };
+  const auto run = [&](bool eager) {
+    Run result;
+    ObliviousStoreOptions opts = DeamortOptions(kB, kN, false, 61);
+    storage::MemBlockDevice mem(DeviceBlocksFor(opts), 4096);
+    storage::TraceBlockDevice trace(&mem);
+    auto created = ObliviousStore::Create(&trace, opts);
+    EXPECT_TRUE(created.ok());
+    ObliviousStore& store = **created;
+    EXPECT_EQ(store.DeferLimitRecords(), 16u);
+    Bytes payload(store.payload_size());
+    Bytes out(store.payload_size());
+    Rng rng(8080);
+    size_t op_index = 0;
+    uint64_t flushes = 0;
+    const auto after_op = [&] {
+      if (eager) DrainStore(store);
+      if (store.stats().buffer_flushes != flushes) {
+        flushes = store.stats().buffer_flushes;
+        result.flush_ops.push_back(op_index);
+      }
+      ++op_index;
+    };
+    for (uint64_t id = 0; id < 48; ++id) {
+      std::fill(payload.begin(), payload.end(), static_cast<uint8_t>(id));
+      EXPECT_TRUE(store.Insert(id, payload.data()).ok());
+      after_op();
+    }
+    for (int op = 0; op < 300; ++op) {
+      const uint64_t id = rng.Uniform(48);
+      if (rng.Bernoulli(0.25)) {
+        std::fill(payload.begin(), payload.end(), static_cast<uint8_t>(op));
+        EXPECT_TRUE(store.Write(id, payload.data()).ok());
+      } else {
+        EXPECT_TRUE(store.Read(id, out.data()).ok());
+      }
+      after_op();
+    }
+    DrainStore(store);
+    result.counts.resize(store.height() + 1);
+    for (const storage::TraceEvent& ev : trace.trace()) {
+      size_t region = RegionOf(ev.block_id, opts);
+      if (region == SIZE_MAX) region = store.height();  // scratch bucket
+      if (ev.kind == storage::TraceEvent::Kind::kRead) {
+        ++result.counts[region].reads;
+      } else {
+        ++result.counts[region].writes;
+      }
+    }
+    result.stats = store.stats();
+    return result;
+  };
+
+  const Run eager = run(/*eager=*/true);
+  const Run taxed = run(/*eager=*/false);
+  ASSERT_GE(eager.flush_ops.size(), 5u);
+  EXPECT_EQ(eager.flush_ops, taxed.flush_ops);
+  ASSERT_EQ(eager.counts.size(), taxed.counts.size());
+  for (size_t r = 0; r < eager.counts.size(); ++r) {
+    EXPECT_EQ(eager.counts[r].reads, taxed.counts[r].reads) << "bucket " << r;
+    EXPECT_EQ(eager.counts[r].writes, taxed.counts[r].writes)
+        << "bucket " << r;
+  }
+  EXPECT_EQ(eager.stats.level_probe_reads, taxed.stats.level_probe_reads);
+  EXPECT_EQ(eager.stats.reorders, taxed.stats.reorders);
+  EXPECT_EQ(eager.stats.reorder_reads, taxed.stats.reorder_reads);
+  EXPECT_EQ(eager.stats.reorder_writes, taxed.stats.reorder_writes);
+  EXPECT_GT(taxed.stats.deferred_flushes, 0u);
+}
+
+// ---- Spilled-index variant ------------------------------------------------
+
+class IndexRebuildTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(IndexRebuildTest, IndexWritesNeverClobberLiveSlots) {
+  // charge_index_io rewrites each rebuilt level's index sequentially.
+  // Those writes go to the idle scratch partition: every record must
+  // read back byte-exact after a cascade through at least three levels,
+  // and the index I/O keeps its count — one index read per level pass,
+  // one index block per re-order at this size (16 B x <= 64 entries).
+  const bool deamortize = GetParam();
+  ObliviousStoreOptions opts = DeamortOptions(4, 64, false, 71);
+  opts.deamortize_reorders = deamortize;
+  opts.charge_index_io = true;
+  storage::MemBlockDevice mem(DeviceBlocksFor(opts), 4096);
+  storage::TraceBlockDevice trace(&mem);
+  auto created = ObliviousStore::Create(&trace, opts);
+  ASSERT_TRUE(created.ok());
+  ObliviousStore& store = **created;
+
+  Bytes out(store.payload_size());
+  for (uint64_t id = 0; id < 64; ++id) {
+    ASSERT_TRUE(
+        store.Insert(id, PayloadFor(store, static_cast<uint8_t>(id)).data())
+            .ok());
+  }
+  Rng rng(515);
+  for (int op = 0; op < 200; ++op) {
+    const uint64_t id = rng.Uniform(64);
+    ASSERT_TRUE(store.Read(id, out.data()).ok()) << "op " << op;
+    ASSERT_EQ(out, PayloadFor(store, static_cast<uint8_t>(id))) << "op " << op;
+  }
+  DrainStore(store);
+  const std::vector<uint64_t> occ = store.LevelOccupancy();
+  ASSERT_EQ(occ.size(), 4u);
+  EXPECT_GT(occ[2] + occ[3], 0u) << "cascade never reached level 3";
+  for (uint64_t id = 0; id < 64; ++id) {
+    ASSERT_TRUE(store.Read(id, out.data()).ok()) << "id " << id;
+    EXPECT_EQ(out, PayloadFor(store, static_cast<uint8_t>(id))) << "id " << id;
+  }
+
+  // Account every device op: level regions see the scan probes, the
+  // per-pass index reads and the re-order sweeps, but writes there are
+  // re-order destination writes only; the index writes land on scratch.
+  const ObliviousStats stats = store.stats();
+  uint64_t level_writes = 0, scratch_writes = 0;
+  for (const storage::TraceEvent& ev : trace.trace()) {
+    if (ev.kind != storage::TraceEvent::Kind::kWrite) continue;
+    if (RegionOf(ev.block_id, opts) == SIZE_MAX) {
+      ++scratch_writes;
+    } else {
+      ++level_writes;
+    }
+  }
+  EXPECT_EQ(level_writes, stats.reorder_writes);
+  // Re-orders this small sort in memory, so every scratch write is an
+  // index block: one per re-order.
+  EXPECT_EQ(scratch_writes, stats.reorders);
+  EXPECT_GT(stats.index_io, stats.reorders);
+  EXPECT_EQ(trace.trace().size(), stats.TotalIo());
+}
+
+INSTANTIATE_TEST_SUITE_P(BlockingAndDeamortized, IndexRebuildTest,
+                         ::testing::Bool());
 
 }  // namespace
 }  // namespace steghide::oblivious

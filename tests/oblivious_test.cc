@@ -9,6 +9,7 @@
 #include "oblivious/oblivious_store.h"
 #include "storage/mem_block_device.h"
 #include "storage/sim_device.h"
+#include "storage/trace_device.h"
 #include "testing/rng.h"
 #include "util/random.h"
 
@@ -124,6 +125,193 @@ TEST_F(MergeSorterTest, MultiRunExternalSort) {
     EXPECT_EQ(GetBlock(128 + slot), payloads[label]) << "slot " << slot;
   }
   EXPECT_EQ(seen.size(), kItems);  // a permutation, nothing lost
+}
+
+TEST_F(MergeSorterTest, RecycledSorterMergesAcrossChangingFanIn) {
+  // One sorter, recycled by Reset(), merges 5, then 2, then 6 runs: the
+  // kept look-ahead is sliced per merge, shrinking and growing with the
+  // fan-in, and every merge stays byte-exact and in tag order.
+  constexpr uint64_t kRun = 8;
+  Rng rng = testing::MakeTestRng();
+  std::vector<Bytes> payloads(48);
+  for (uint64_t i = 0; i < payloads.size(); ++i) {
+    payloads[i].resize(codec_.payload_size());
+    rng.Fill(payloads[i].data(), payloads[i].size());
+    PutBlock(i, payloads[i]);
+  }
+  ExternalMergeSorter sorter(&dev_, &codec_, &cipher_, &drbg_, 64, kRun);
+  for (const uint64_t items : {40u, 16u, 48u}) {
+    sorter.Reset();
+    std::vector<uint64_t> tags(items);
+    for (uint64_t i = 0; i < items; ++i) {
+      tags[i] = rng.Next();
+      ASSERT_TRUE(sorter.Add(i, tags[i], i).ok());
+    }
+    auto order = sorter.Finish(128);
+    ASSERT_TRUE(order.ok()) << order.status().ToString();
+    ASSERT_EQ(order->size(), items);
+    for (size_t i = 1; i < order->size(); ++i) {
+      EXPECT_LE(tags[(*order)[i - 1]], tags[(*order)[i]]) << items;
+    }
+    for (uint64_t slot = 0; slot < items; ++slot) {
+      EXPECT_EQ(GetBlock(128 + slot), payloads[(*order)[slot]])
+          << items << " items, slot " << slot;
+    }
+  }
+}
+
+// Device items at [0, device), scratch at 64, destination at 128; the
+// resident payloads are borrowed from `resident`. Returns the labels in
+// final order. Labels: device item i -> i, resident item j -> 1000 + j.
+std::vector<uint64_t> SortMixed(storage::BlockDevice* dev,
+                                const stegfs::BlockCodec& codec,
+                                const crypto::CbcCipher& cipher,
+                                crypto::HashDrbg& drbg, uint64_t run_blocks,
+                                const std::vector<uint64_t>& device_tags,
+                                const std::vector<Bytes>& resident,
+                                const std::vector<uint64_t>& resident_tags,
+                                uint64_t step_budget) {
+  ExternalMergeSorter sorter(dev, &codec, &cipher, &drbg, 64, run_blocks);
+  for (size_t j = 0; j < resident.size(); ++j) {
+    EXPECT_TRUE(
+        sorter.AddResident(resident[j].data(), resident_tags[j], 1000 + j)
+            .ok());
+  }
+  for (uint64_t i = 0; i < device_tags.size(); ++i) {
+    EXPECT_TRUE(sorter.Add(i, device_tags[i], i).ok());
+  }
+  EXPECT_TRUE(sorter.BeginMerge(128).ok());
+  bool done = false;
+  for (int steps = 0; !done && steps < 10000; ++steps) {
+    EXPECT_TRUE(sorter.MergeStep(step_budget, &done).ok());
+  }
+  EXPECT_TRUE(done);
+  EXPECT_EQ(sorter.merge_remaining_blocks(), 0u);
+  return sorter.TakeOrder();
+}
+
+// Scratch-region (64..127) reads and writes in a trace.
+std::pair<uint64_t, uint64_t> ScratchTouches(const storage::IoTrace& trace) {
+  std::pair<uint64_t, uint64_t> rw{0, 0};
+  for (const storage::TraceEvent& ev : trace) {
+    if (ev.block_id < 64 || ev.block_id >= 128) continue;
+    if (ev.kind == storage::TraceEvent::Kind::kRead) {
+      ++rw.first;
+    } else {
+      ++rw.second;
+    }
+  }
+  return rw;
+}
+
+TEST_F(MergeSorterTest, ResidentRunMergesWithSpilledRuns) {
+  // 40 device items at run size 8 spill five runs; 12 resident items are
+  // merged straight from memory. Output: ascending tags, exact payloads;
+  // only the device items touch scratch, each written once and read once.
+  constexpr uint64_t kDevice = 40, kResident = 12, kRun = 8;
+  Rng rng = testing::MakeTestRng();
+  std::map<uint64_t, Bytes> payloads;
+  std::map<uint64_t, uint64_t> tags;
+  std::vector<uint64_t> device_tags(kDevice), resident_tags(kResident);
+  std::vector<Bytes> resident(kResident);
+  for (uint64_t i = 0; i < kDevice; ++i) {
+    Bytes p(codec_.payload_size());
+    rng.Fill(p.data(), p.size());
+    PutBlock(i, p);
+    payloads[i] = p;
+    tags[i] = device_tags[i] = rng.Next();
+  }
+  for (uint64_t j = 0; j < kResident; ++j) {
+    resident[j].resize(codec_.payload_size());
+    rng.Fill(resident[j].data(), resident[j].size());
+    payloads[1000 + j] = resident[j];
+    tags[1000 + j] = resident_tags[j] = rng.Next();
+  }
+
+  storage::TraceBlockDevice traced(&dev_);
+  const std::vector<uint64_t> order =
+      SortMixed(&traced, codec_, cipher_, drbg_, kRun, device_tags, resident,
+                resident_tags, /*step_budget=*/7);
+  ASSERT_EQ(order.size(), kDevice + kResident);
+  std::set<uint64_t> seen;
+  for (size_t slot = 0; slot < order.size(); ++slot) {
+    if (slot > 0) EXPECT_LT(tags[order[slot - 1]], tags[order[slot]]);
+    seen.insert(order[slot]);
+    EXPECT_EQ(GetBlock(128 + slot), payloads[order[slot]]) << "slot " << slot;
+  }
+  EXPECT_EQ(seen.size(), kDevice + kResident);
+  EXPECT_EQ(ScratchTouches(traced.trace()),
+            (std::pair<uint64_t, uint64_t>{kDevice, kDevice}));
+}
+
+TEST_F(MergeSorterTest, ResidentRunSkipsScratchWhenDeviceItemsFitOneRun) {
+  // 6 device items fit the run of 8 even beside 20 resident items: the
+  // whole merge is one destination sweep with no scratch traffic.
+  constexpr uint64_t kDevice = 6, kResident = 20;
+  Rng rng = testing::MakeTestRng();
+  std::vector<uint64_t> device_tags(kDevice), resident_tags(kResident);
+  std::vector<Bytes> resident(kResident);
+  std::map<uint64_t, Bytes> payloads;
+  for (uint64_t i = 0; i < kDevice; ++i) {
+    Bytes p(codec_.payload_size(), static_cast<uint8_t>(i + 1));
+    PutBlock(i, p);
+    payloads[i] = p;
+    device_tags[i] = rng.Next();
+  }
+  for (uint64_t j = 0; j < kResident; ++j) {
+    resident[j].assign(codec_.payload_size(), static_cast<uint8_t>(0x80 + j));
+    payloads[1000 + j] = resident[j];
+    resident_tags[j] = rng.Next();
+  }
+  storage::TraceBlockDevice traced(&dev_);
+  const std::vector<uint64_t> order =
+      SortMixed(&traced, codec_, cipher_, drbg_, 8, device_tags, resident,
+                resident_tags, /*step_budget=*/5);
+  ASSERT_EQ(order.size(), kDevice + kResident);
+  for (size_t slot = 0; slot < order.size(); ++slot) {
+    EXPECT_EQ(GetBlock(128 + slot), payloads[order[slot]]) << "slot " << slot;
+  }
+  EXPECT_EQ(ScratchTouches(traced.trace()),
+            (std::pair<uint64_t, uint64_t>{0, 0}));
+  // Device reads of the inputs plus one write per item, nothing else.
+  EXPECT_EQ(traced.trace().size(), kDevice + kDevice + kResident);
+}
+
+TEST_F(MergeSorterTest, TraceIsIndependentOfPayloadBytes) {
+  // Twin sorters: same tags, same DRBG seed, different payload bytes for
+  // both the device and the resident items. The device trace — spills,
+  // run refills and destination chunks — must be identical.
+  constexpr uint64_t kDevice = 40, kResident = 12, kRun = 8;
+  Rng rng = testing::MakeTestRng();
+  std::vector<uint64_t> device_tags(kDevice), resident_tags(kResident);
+  for (auto& t : device_tags) t = rng.Next();
+  for (auto& t : resident_tags) t = rng.Next();
+
+  const auto run = [&](uint8_t fill) {
+    storage::MemBlockDevice mem(256, 4096);
+    crypto::HashDrbg drbg(uint64_t{99});
+    for (uint64_t i = 0; i < kDevice; ++i) {
+      Bytes p(codec_.payload_size(), static_cast<uint8_t>(fill + i));
+      Bytes block(4096);
+      EXPECT_TRUE(codec_.Seal(cipher_, drbg, p.data(), block.data()).ok());
+      EXPECT_TRUE(mem.WriteBlock(i, block.data()).ok());
+    }
+    std::vector<Bytes> resident(kResident);
+    for (uint64_t j = 0; j < kResident; ++j) {
+      resident[j].assign(codec_.payload_size(),
+                         static_cast<uint8_t>(fill ^ (0x40 + j)));
+    }
+    storage::TraceBlockDevice traced(&mem);
+    const std::vector<uint64_t> order =
+        SortMixed(&traced, codec_, cipher_, drbg, kRun, device_tags, resident,
+                  resident_tags, /*step_budget=*/9);
+    return std::make_pair(order, traced.trace());
+  };
+  const auto [order_a, trace_a] = run(0x11);
+  const auto [order_b, trace_b] = run(0xa7);
+  EXPECT_EQ(order_a, order_b);
+  ASSERT_FALSE(trace_a.empty());
+  EXPECT_EQ(trace_a, trace_b);
 }
 
 // ---- ObliviousStore -------------------------------------------------------

@@ -349,8 +349,11 @@ struct RemoteReplicatedSystem {
 
   void BuildReorderBacklog() {
     auto& store = agent->store();
-    Bytes payloads(16 * store.payload_size(), 0x5a);
-    std::vector<oblivious::RecordId> rids(16);
+    // One flush point's worth of ids (DeferLimitRecords() = 32 at B = 8,
+    // N = 128): fewer re-staged ids could never reach it.
+    const uint64_t flush_point = store.DeferLimitRecords();
+    Bytes payloads(flush_point * store.payload_size(), 0x5a);
+    std::vector<oblivious::RecordId> rids(flush_point);
     for (size_t i = 0; i < rids.size(); ++i) rids[i] = (1u << 20) + i;
     for (int round = 0; round < 32 && !store.reorder_pending(); ++round) {
       ASSERT_TRUE(store.MultiInsert(rids, payloads.data()).ok());

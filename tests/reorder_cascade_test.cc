@@ -8,7 +8,11 @@
 // distinct-id inserts the flush arithmetic is deterministic: flush 7
 // (the 28th insert) finds L1 = 8 and L2 = 16 full, so dump(1) spills
 // L2 into L3, dump(0) refills L2 from L1, and the flush rebuilds L1 —
-// three re-orders from one serving op.
+// three re-orders from one serving op. The deamortized (non-strict)
+// store coalesces flushes to DeferLimitRecords() = N/4 = 16 records, so
+// every flush set folds L1 and lands in L2: flush 2 and flush 3 dump L2
+// into L3, and flush 4 (the 64th insert) finds L2 = 16 and L3 = 32 full —
+// L3 → L4, L2 → L3, flush → L2.
 
 #include <gtest/gtest.h>
 
@@ -106,15 +110,20 @@ TEST(ReorderCascadeTest, DeamortizedCascadeInstallsJobChainInOrder) {
   ASSERT_TRUE(store.ok());
 
   // Reach the pre-cascade state with every chain drained, so the flush
-  // arithmetic matches the blocking schedule exactly.
-  for (uint64_t id = 0; id < 27; ++id) {
+  // arithmetic is exact: flushes fire every DeferLimitRecords() inserts,
+  // and the fourth one cascades (see the header).
+  const uint64_t cascade_at = 4 * (*store)->DeferLimitRecords() - 1;
+  for (uint64_t id = 0; id < cascade_at; ++id) {
     ASSERT_TRUE((*store)->Insert(id, PayloadFor(**store, id).data()).ok());
     DrainStore(**store);
   }
-  // Insert #27 triggers the three-job chain: L2 → L3, L1 → L2, flush → L1.
+  // The fourth flush triggers the three-job chain: L3 → L4, L2 → L3,
+  // flush → L2.
   const uint64_t epoch_before = (*store)->reorder_epoch();
   const uint64_t reorders_before = (*store)->stats().reorders;
-  ASSERT_TRUE((*store)->Insert(27, PayloadFor(**store, 27).data()).ok());
+  ASSERT_TRUE((*store)
+                  ->Insert(cascade_at, PayloadFor(**store, cascade_at).data())
+                  .ok());
 
   // Step in small increments with no serving in between (reads would
   // stage records and spawn further chains): installs must land level by
